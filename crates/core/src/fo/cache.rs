@@ -19,6 +19,13 @@
 //!   reoptimized plans are never served — the next query against the new
 //!   snapshot misses, re-optimizes once, and repopulates the cache.
 //!
+//! Admission is 2Q-style (Johnson & Shasha, VLDB 1994): a plan's first miss
+//! parks it in a small FIFO probation queue, and only a second request
+//! while it is still there promotes it into the main table.  One-off
+//! sentences — a check asked once with fresh constants — therefore cycle
+//! through the queue instead of accumulating until the capacity reset, so a
+//! long-running process holds a bounded number of plans it will never reuse.
+//!
 //! Lookups verify full formula equality behind the hash (a collision falls
 //! back to an uncached compile, never a wrong plan), and [`PlanCacheStats`]
 //! exposes hit/miss/optimizer counters so tests — and capacity planning — can
@@ -35,7 +42,7 @@ use crate::logic::{Formula, Var};
 use crate::theory::Theory;
 use std::any::{Any, TypeId};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -80,6 +87,34 @@ struct CachedPlan<T: Theory> {
     compiled: CompiledQuery<T>,
 }
 
+/// A cached plan behind its theory-erased handle.
+type Entry = Arc<dyn Any + Send + Sync>;
+
+/// The two parts of the cache, guarded by one lock.
+#[derive(Default)]
+struct Tables {
+    /// Plans requested at least twice, in hash buckets: full equality is
+    /// verified per entry, so a 64-bit collision degrades to an extra
+    /// comparison, never a wrong plan.
+    main: HashMap<Key, Vec<Entry>>,
+    /// Number of plans in `main`, kept so a miss never sums the buckets.
+    main_len: usize,
+    /// Plans requested once so far, oldest first.
+    probation: VecDeque<(Key, Entry)>,
+}
+
+impl Tables {
+    fn len(&self) -> usize {
+        self.main_len + self.probation.len()
+    }
+
+    fn clear(&mut self) {
+        self.main.clear();
+        self.main_len = 0;
+        self.probation.clear();
+    }
+}
+
 /// Counter snapshot of a [`PlanCache`]; see the field docs.  All counters are
 /// process-lifetime monotone — tests should assert on deltas.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -97,23 +132,25 @@ pub struct PlanCacheStats {
     /// (compile misses at [`OptLevel::Full`] plus reoptimize misses).  A warm
     /// cache serves repeated queries with **zero** new invocations.
     pub optimizer_invocations: u64,
-    /// Entries dropped by capacity eviction.
+    /// Entries dropped by capacity eviction, including one-off plans
+    /// pushed out of the probation queue.
     pub evictions: u64,
 }
 
 /// A process-wide cache of compiled and statistics-reoptimized query plans,
 /// shared by every session and both query engines.  See the module docs.
 pub struct PlanCache {
-    /// Hash buckets: full equality is verified per entry, so a 64-bit
-    /// collision degrades to an extra comparison, never a wrong plan.
-    entries: Mutex<HashMap<Key, Vec<Arc<dyn Any + Send + Sync>>>>,
+    tables: Mutex<Tables>,
     compile_hits: AtomicU64,
     compile_misses: AtomicU64,
     reoptimize_hits: AtomicU64,
     reoptimize_misses: AtomicU64,
     optimizer_invocations: AtomicU64,
     evictions: AtomicU64,
+    /// Bound on the plans held in both parts together.
     capacity: usize,
+    /// Bound on the probation queue: `min(64, capacity / 2)`, at least 1.
+    probation_capacity: usize,
 }
 
 impl Default for PlanCache {
@@ -140,11 +177,12 @@ impl PlanCache {
         PlanCache::with_capacity(DEFAULT_CAPACITY)
     }
 
-    /// An empty cache evicting once more than `capacity` plans are held.
+    /// An empty cache evicting once more than `capacity` plans are held
+    /// (probation queue and main table together).
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
         PlanCache {
-            entries: Mutex::new(HashMap::new()),
+            tables: Mutex::new(Tables::default()),
             compile_hits: AtomicU64::new(0),
             compile_misses: AtomicU64::new(0),
             reoptimize_hits: AtomicU64::new(0),
@@ -152,6 +190,7 @@ impl PlanCache {
             optimizer_invocations: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             capacity: capacity.max(1),
+            probation_capacity: (capacity / 2).clamp(1, 64),
         }
     }
 
@@ -175,15 +214,10 @@ impl PlanCache {
         }
     }
 
-    /// Number of cached plans (both stages).
+    /// Number of cached plans (both stages, probation queue included).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries
-            .lock()
-            .expect("plan cache poisoned")
-            .values()
-            .map(Vec::len)
-            .sum()
+        self.tables.lock().expect("plan cache poisoned").len()
     }
 
     /// Whether the cache holds no plans.
@@ -194,7 +228,7 @@ impl PlanCache {
 
     /// Drops every cached plan (counters are preserved).
     pub fn clear(&self) {
-        self.entries.lock().expect("plan cache poisoned").clear();
+        self.tables.lock().expect("plan cache poisoned").clear();
     }
 
     /// The compiled plan for `{free | formula}` under `config`, compiling (and
@@ -271,20 +305,43 @@ impl PlanCache {
         }
     }
 
+    /// The plan cached under `key` for exactly `{free | formula}`.  A hit in
+    /// the probation queue promotes the plan into the main table.
     fn lookup<T: Theory>(
         &self,
         key: &Key,
         formula: &Formula<T::A>,
         free: &[Var],
     ) -> Option<CompiledQuery<T>> {
-        let entries = self.entries.lock().expect("plan cache poisoned");
-        let bucket = entries.get(key)?;
-        bucket.iter().find_map(|entry| {
+        let matching = |entry: &Entry| {
             let cached = entry.downcast_ref::<CachedPlan<T>>()?;
             (cached.formula == *formula && cached.free == free).then(|| cached.compiled.clone())
-        })
+        };
+        let mut tables = self.tables.lock().expect("plan cache poisoned");
+        if let Some(hit) = tables
+            .main
+            .get(key)
+            .and_then(|bucket| bucket.iter().find_map(matching))
+        {
+            return Some(hit);
+        }
+        let (pos, hit) = tables
+            .probation
+            .iter()
+            .enumerate()
+            .filter(|(_, (k, _))| k == key)
+            .find_map(|(pos, (_, entry))| Some((pos, matching(entry)?)))?;
+        // Moving the plan between parts leaves the total unchanged, so the
+        // capacity bound still holds.
+        let (key, entry) = tables.probation.remove(pos).expect("position just found");
+        tables.main.entry(key).or_default().push(entry);
+        tables.main_len += 1;
+        Some(hit)
     }
 
+    /// Admits a freshly built plan into the probation queue, making room
+    /// first: the queue drops its oldest plan when full, and once both parts
+    /// together reach the capacity the main table is pruned.
     fn insert<T: Theory>(
         &self,
         key: Key,
@@ -292,29 +349,30 @@ impl PlanCache {
         free: &[Var],
         compiled: CompiledQuery<T>,
     ) {
-        let entry: Arc<dyn Any + Send + Sync> = Arc::new(CachedPlan::<T> {
+        let entry: Entry = Arc::new(CachedPlan::<T> {
             formula: formula.clone(),
             free: free.to_vec(),
             compiled,
         });
-        let mut entries = self.entries.lock().expect("plan cache poisoned");
-        let held: usize = entries.values().map(Vec::len).sum();
-        if held >= self.capacity {
+        let mut tables = self.tables.lock().expect("plan cache poisoned");
+        let before = tables.len();
+        if tables.probation.len() >= self.probation_capacity {
+            tables.probation.pop_front();
+        } else if before >= self.capacity {
             // Generation-keyed entries go first: superseded generations are
             // unreachable anyway, and compile-stage plans are the expensive
-            // ones to rebuild.  If that is not enough the whole cache resets —
-            // it is a cache, correctness never depends on residency.
-            let before = held;
-            entries.retain(|k, _| k.stage == Stage::Compiled);
-            let mut after: usize = entries.values().map(Vec::len).sum();
-            if after >= self.capacity {
-                entries.clear();
-                after = 0;
+            // ones to rebuild.  If that is not enough the whole main table
+            // resets — it is a cache, correctness never depends on residency.
+            tables.main.retain(|k, _| k.stage == Stage::Compiled);
+            tables.main_len = tables.main.values().map(Vec::len).sum();
+            if tables.len() >= self.capacity {
+                tables.main.clear();
+                tables.main_len = 0;
             }
-            self.evictions
-                .fetch_add((before - after) as u64, Ordering::Relaxed);
         }
-        entries.entry(key).or_default().push(entry);
+        self.evictions
+            .fetch_add((before - tables.len()) as u64, Ordering::Relaxed);
+        tables.probation.push_back((key, entry));
     }
 }
 
@@ -440,5 +498,74 @@ mod tests {
         )
         .unwrap();
         assert!(compiled.eval(&inst).unwrap().contains(&[Rat::from_i64(0)]));
+    }
+
+    /// A distinct one-off sentence per `i`.
+    fn one_off(i: i64) -> Formula<DenseAtom> {
+        Formula::rel("R", [Term::var("x")])
+            .and(Formula::Atom(DenseAtom::le(Term::var("x"), Term::cst(i))))
+    }
+
+    #[test]
+    fn one_off_compiles_stay_in_the_probation_queue() {
+        let cache = PlanCache::new();
+        let config = PlanConfig::default();
+        let free = vec![Var::new("x")];
+        let repeated: Formula<DenseAtom> = Formula::rel("R", [Term::var("x")]);
+        let _ = cache.compile::<DenseOrder>(&repeated, &free, &config);
+        let _ = cache.compile::<DenseOrder>(&repeated, &free, &config);
+        for i in 0..10_000 {
+            let _ = cache.compile::<DenseOrder>(&one_off(i), &free, &config);
+        }
+        assert!(cache.len() <= 64 + 1, "{} plans held", cache.len());
+        let before = cache.stats().compile_hits;
+        let _ = cache.compile::<DenseOrder>(&repeated, &free, &config);
+        assert_eq!(cache.stats().compile_hits, before + 1);
+    }
+
+    #[test]
+    fn a_second_request_within_the_queue_window_hits() {
+        let cache = PlanCache::new();
+        let config = PlanConfig::default();
+        let free = vec![Var::new("x")];
+        let _ = cache.compile::<DenseOrder>(&one_off(-1), &free, &config);
+        for i in 0..63 {
+            let _ = cache.compile::<DenseOrder>(&one_off(i), &free, &config);
+        }
+        let _ = cache.compile::<DenseOrder>(&one_off(-1), &free, &config);
+        assert_eq!(cache.stats().compile_hits, 1);
+        // Promoted: a full queue's worth of further one-offs keeps it.
+        for i in 100..200 {
+            let _ = cache.compile::<DenseOrder>(&one_off(i), &free, &config);
+        }
+        let _ = cache.compile::<DenseOrder>(&one_off(-1), &free, &config);
+        assert_eq!(cache.stats().compile_hits, 2);
+    }
+
+    #[test]
+    fn clear_empties_the_probation_queue() {
+        let cache = PlanCache::new();
+        let config = PlanConfig::default();
+        let free = vec![Var::new("x")];
+        for i in 0..8 {
+            let _ = cache.compile::<DenseOrder>(&one_off(i), &free, &config);
+        }
+        assert_eq!(cache.len(), 8);
+        cache.clear();
+        assert!(cache.is_empty());
+        let _ = cache.compile::<DenseOrder>(&one_off(0), &free, &config);
+        assert_eq!(cache.stats().compile_hits, 0, "cleared plans must not hit");
+    }
+
+    #[test]
+    fn probation_drops_count_as_evictions() {
+        let cache = PlanCache::new();
+        let config = PlanConfig::default();
+        let free = vec![Var::new("x")];
+        for i in 0..100 {
+            let _ = cache.compile::<DenseOrder>(&one_off(i), &free, &config);
+        }
+        assert_eq!(cache.len(), 64);
+        assert_eq!(cache.stats().evictions, 100 - 64);
     }
 }

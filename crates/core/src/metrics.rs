@@ -454,8 +454,8 @@ pub struct MetricsSnapshot {
     /// Size distribution (generalized-tuple counts) of the semantic deltas
     /// applied by `insert`/`delete` commits.
     pub update_delta_parts: HistogramSnapshot,
-    /// Reads served per snapshot generation, ascending by generation
-    /// (the most recent [`READ_GENERATIONS`] generations... capped ring).
+    /// Reads served per snapshot generation, ascending by generation: a
+    /// capped ring holding only the most recent generations.
     pub reads_by_generation: Vec<(u64, u64)>,
     /// Plan-cache counters, when the owner attached them.
     pub plan_cache: Option<PlanCacheStats>,

@@ -285,10 +285,13 @@ pub fn negate_tuples<T: Theory>(tuples: &[GenTuple<T::A>]) -> Vec<GenTuple<T::A>
 /// [`negate_tuples`] (seed = the universal tuple) and the residual computation
 /// behind difference/containment (seed = the tuple being covered), so the
 /// pruning and simplification policy cannot drift between them.
-fn conjoin_negation<T: Theory>(
+fn conjoin_negation<'a, T: Theory>(
     seed: Vec<GenTuple<T::A>>,
-    negated: &[GenTuple<T::A>],
-) -> Vec<GenTuple<T::A>> {
+    negated: impl IntoIterator<Item = &'a GenTuple<T::A>>,
+) -> Vec<GenTuple<T::A>>
+where
+    T::A: 'a,
+{
     let mut acc = seed;
     for tuple in negated {
         let mut next: Vec<GenTuple<T::A>> = Vec::new();
@@ -574,6 +577,9 @@ thread_local! {
     /// the coordinating thread after worker counters merge, so the tallies
     /// are complete (and thread-count invariant) however wide the join ran.
     static JOIN_STRATEGIES: Cell<[u64; 5]> = const { Cell::new([0; 5]) };
+    /// Containment-kernel work on this thread, indexed as entailed /
+    /// screened out / negated (see [`containment_counters`]).
+    static CONTAINMENT: Cell<[u64; 3]> = const { Cell::new([0; 3]) };
 }
 
 /// This thread's cumulative `(built, reused)` column-index counters.
@@ -588,6 +594,27 @@ thread_local! {
 #[must_use]
 pub fn column_index_counters() -> (u64, u64) {
     (INDEX_BUILDS.with(Cell::get), INDEX_REUSES.with(Cell::get))
+}
+
+/// This thread's cumulative `(entailed, screened_out, negated)` containment
+/// counters — the work behind [`Relation::covers_tuple`],
+/// [`Relation::subset_of`], [`Relation::difference`] and
+/// [`Relation::equivalent`]:
+///
+/// * *entailed*: residual computations answered empty by the fast path (the
+///   candidate entails one stored tuple, so nothing of it is left);
+/// * *screened_out*: stored tuples skipped because their cached context is
+///   provably incompatible with the candidate's (disjoint, so negating them
+///   cannot remove a point);
+/// * *negated*: stored tuples whose negation was actually distributed
+///   across the candidate.
+///
+/// Like [`column_index_counters`], the counters are thread-local and
+/// cumulative — callers wanting a window take two snapshots and subtract.
+#[must_use]
+pub fn containment_counters() -> (u64, u64, u64) {
+    let [entailed, screened_out, negated] = CONTAINMENT.with(Cell::get);
+    (entailed, screened_out, negated)
 }
 
 /// This thread's cumulative per-strategy join tallies: one count per
@@ -621,6 +648,18 @@ fn record_join_strategy(strategy: JoinStrategy) {
     JOIN_STRATEGIES.with(|c| {
         let mut counts = c.get();
         counts[slot] += 1;
+        c.set(counts);
+    });
+}
+
+/// Adds one residual computation's `[entailed, screened_out, negated]` to
+/// this thread's containment counters.
+fn record_containment(work: [u64; 3]) {
+    CONTAINMENT.with(|c| {
+        let mut counts = c.get();
+        for (count, add) in counts.iter_mut().zip(work) {
+            *count += add;
+        }
         c.set(counts);
     });
 }
@@ -1573,11 +1612,32 @@ impl<T: Theory> Relation<T> {
     /// `tuple ∧ ¬self`.  The negation is distributed tuple by tuple with the
     /// conjunction as a seed, which prunes far more aggressively than computing the
     /// full complement first.
+    ///
+    /// Two screens run before any negation, both from cached contexts.  If
+    /// the candidate entails some stored tuple, nothing of it is left.
+    /// Otherwise only the stored tuples [`Theory::ctx_compatible`] with the
+    /// candidate are negated: an incompatible one is disjoint from it, so
+    /// its negation cannot remove a point (it would only split the seed).
     fn residual_of_tuple(&self, tuple: &GenTuple<T::A>) -> Vec<GenTuple<T::A>> {
         if !tuple.is_satisfiable::<T>() {
             return Vec::new();
         }
-        conjoin_negation::<T>(vec![tuple.clone()], &self.tuples)
+        let mut touching: Vec<&GenTuple<T::A>> = Vec::new();
+        let mut screened_out = 0;
+        for stored in &self.tuples {
+            if !tuple.with_ctx::<T, _>(|ct| stored.with_ctx::<T, _>(|cs| T::ctx_compatible(ct, cs)))
+            {
+                screened_out += 1;
+                continue;
+            }
+            if tuple.entails::<T>(stored.atoms()) {
+                record_containment([1, screened_out, 0]);
+                return Vec::new();
+            }
+            touching.push(stored);
+        }
+        record_containment([0, screened_out, touching.len() as u64]);
+        conjoin_negation::<T>(vec![tuple.clone()], touching)
     }
 
     /// Set difference `self \ other`.
@@ -1849,7 +1909,7 @@ impl<T: Theory> Relation<T> {
     /// **single simultaneous substitution pass** — permutations need no
     /// temporary variables, so each atom is rewritten exactly once.
     ///
-    /// The per-column interval indexes survive the rename: a [`ColumnIndex`]
+    /// The per-column interval indexes survive the rename: a column index
     /// stores only positional envelope data, invariant under the bijective
     /// variable substitution, so the renamed relation shares the original's
     /// index cache keyed by the columns' stable index names.  This is the
@@ -2622,5 +2682,32 @@ mod tests {
                 "difference divergence: {stored} vs {delta}"
             );
         }
+    }
+
+    #[test]
+    fn containment_screens_disjoint_parts_and_short_circuits_on_entailment() {
+        let window = |before: (u64, u64, u64), after: (u64, u64, u64)| {
+            (after.0 - before.0, after.1 - before.1, after.2 - before.2)
+        };
+        // Every stored part is disjoint from the candidate: all screened
+        // out, none negated.
+        let stored = Rel::new(vec![x()], vec![interval(0, 1), interval(5, 6)]);
+        let before = containment_counters();
+        assert!(!stored.covers_tuple(&interval(2, 3)));
+        assert_eq!(window(before, containment_counters()), (0, 2, 0));
+        // The candidate lies inside one stored part: answered by the
+        // entailment fast path, nothing negated.
+        let stored = Rel::new(vec![x()], vec![interval(0, 4), interval(5, 6)]);
+        let before = containment_counters();
+        assert!(stored.covers_tuple(&interval(1, 2)));
+        assert_eq!(window(before, containment_counters()), (1, 0, 0));
+        // Straddling two touching parts needs the negation of both.
+        let stored = Rel::new(
+            vec![x()],
+            vec![interval(0, 2), interval(2, 4), interval(7, 8)],
+        );
+        let before = containment_counters();
+        assert!(stored.covers_tuple(&interval(1, 3)));
+        assert_eq!(window(before, containment_counters()), (0, 1, 2));
     }
 }

@@ -422,7 +422,7 @@ fn derive_rule<T: Theory>(
                 None => part,
                 Some(prev) => {
                     let part = part.rename(prev.vars().to_vec());
-                    prev.union(&part)
+                    prev.union_delta(&part)
                 }
             });
         }
@@ -927,7 +927,6 @@ impl<A: frdb_core::theory::Atom> Program<A> {
             .collect();
         for iteration in 0..self.max_iterations {
             let mut changed = false;
-            let mut next_state = idb_state.clone();
             let mut next_delta: BTreeMap<RelName, Vec<GenTuple<A>>> =
                 idb.keys().map(|n| (n.clone(), Vec::new())).collect();
             // Every rule body of a round reads the same `current` instance,
@@ -938,10 +937,9 @@ impl<A: frdb_core::theory::Atom> Program<A> {
                 eval_round(&rules, &current, iteration, threads)?;
             for (rule, derived) in rules.iter().zip(derived_per_rule) {
                 let Some(derived) = derived else { continue };
-                let existing = next_state
-                    .get(&rule.head)
-                    .expect("idb_schema lists every head predicate")
-                    .clone();
+                let existing = idb_state
+                    .get_mut(&rule.head)
+                    .expect("idb_schema lists every head predicate");
                 let derived = derived.rename(existing.vars().to_vec());
                 // Inflationary semantics: keep only the genuinely new tuples.
                 let fresh: Vec<GenTuple<A>> = derived
@@ -954,8 +952,10 @@ impl<A: frdb_core::theory::Atom> Program<A> {
                     continue;
                 }
                 changed = true;
+                // `existing` is simplified, so merging the fresh tuples costs
+                // `O(|existing|·|fresh|)` entailments, not a full re-simplify.
                 let fresh_rel = Relation::new(existing.vars().to_vec(), fresh.clone());
-                next_state.insert(rule.head.clone(), existing.union(&fresh_rel));
+                *existing = existing.union_delta(&fresh_rel);
                 next_delta
                     .get_mut(&rule.head)
                     .expect("initialized for every head")
@@ -968,7 +968,6 @@ impl<A: frdb_core::theory::Atom> Program<A> {
                         .collect(),
                 );
             }
-            idb_state = next_state;
             for (name, rel) in &idb_state {
                 current
                     .set(name.clone(), rel.clone())
