@@ -118,6 +118,8 @@ impl fmt::Display for DenseAtom {
 }
 
 impl Atom for DenseAtom {
+    const ORDER_GENERIC: bool = true;
+
     fn vars(&self) -> BTreeSet<Var> {
         let mut out = BTreeSet::new();
         if let Term::Var(v) = &self.lhs {

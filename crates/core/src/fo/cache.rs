@@ -75,7 +75,6 @@ struct Key {
     theory: TypeId,
     opt: OptLevel,
     threads: usize,
-    factorize: bool,
     stage: Stage,
 }
 
@@ -300,7 +299,6 @@ impl PlanCache {
             theory: TypeId::of::<T>(),
             opt: config.opt,
             threads: config.threads,
-            factorize: config.factorize,
             stage,
         }
     }

@@ -6,25 +6,21 @@
 //! data complexity is polynomial for a fixed query (Theorem 5.2 states the sharper
 //! AC⁰ bound).
 //!
-//! Two evaluators are provided:
+//! The evaluator is the **relational-algebra evaluator** ([`eval_query`],
+//! [`CompiledQuery`]).  The formula is compiled once into a small plan IR
+//! (scan / rename / select / natural-join / union / complement /
+//! project-via-eliminate), **hash-consed** so structurally equal sub-formulas
+//! become the *same* plan node, and evaluated compositionally over
+//! [`Relation`] values with a per-query memo table — a repeated sub-plan is
+//! evaluated once per instance.  Intermediate unions stay **factorized** (a
+//! lazy union of at most 16 parts) until the plan boundary.  Joins prune
+//! candidate tuple pairs through the cached canonical contexts
+//! ([`crate::theory::Theory::ctx_compatible`]) before any merged context is
+//! saturated.
 //!
-//! * the **relational-algebra evaluator** ([`eval_query`], [`CompiledQuery`]) —
-//!   the default.  The formula is compiled once into a small plan IR
-//!   (scan / rename / select / natural-join / union / complement /
-//!   project-via-eliminate), **hash-consed** so structurally equal sub-formulas
-//!   become the *same* plan node, and evaluated compositionally over
-//!   [`Relation`] values with a per-query memo table — a repeated sub-plan is
-//!   evaluated once per instance.  Joins prune candidate tuple pairs through
-//!   the cached canonical contexts ([`crate::theory::Theory::ctx_compatible`])
-//!   before any merged context is saturated.
-//!
-//! * the **expand-then-eliminate baseline** ([`eval_query_expand`]) — the
-//!   literal transcription of Section 4.1: every relation atom is textually
-//!   replaced by a DNF sub-formula ([`expand_relations`]) and the resulting
-//!   `L`-formula is flattened by quantifier elimination.  Retained as the
-//!   semantics baseline (the equivalence property tests pin the two evaluators
-//!   against each other) and as the benchmark anchor for the algebraic
-//!   evaluator's speedups.
+//! Its answers are checked against [`oracle`], a point-semantics evaluator
+//! that shares nothing with the symbolic kernel: it decides a formula at a
+//! point by plain Tarskian evaluation over a finite grid of candidate values.
 //!
 //! Compiled plans pass through the **cost-guided optimizer** ([`optimize`]):
 //! joins are flattened and greedily re-ordered on estimated intermediate
@@ -43,6 +39,7 @@
 
 pub mod cache;
 pub mod optimize;
+pub mod oracle;
 pub mod stats;
 pub mod trace;
 
@@ -53,12 +50,10 @@ pub use trace::{QueryTrace, TraceView};
 
 use trace::TraceProbe;
 
-use crate::logic::{Formula, Term, Var};
-use crate::relation::{
-    eliminate_tuple, negate_tuples, simplify_tuples, GenTuple, Instance, JoinReport, Relation,
-};
+use crate::logic::{Formula, Sep, Term, Var};
+use crate::relation::{negate_tuples, GenTuple, Instance, JoinReport, Relation};
 use crate::schema::RelName;
-use crate::theory::{Atom, Dnf, Theory};
+use crate::theory::{Atom, Theory};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
@@ -122,207 +117,26 @@ impl std::fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-// ---------------------------------------------------------------------------
-// The expand-then-eliminate baseline (Section 4.1 verbatim)
-// ---------------------------------------------------------------------------
-
-/// Replaces every relation atom `R(t̅)` by a quantifier-free formula representing
-/// `I(R)(t̅)` (the first step of Section 4.1's evaluation).
-///
-/// The stored relation's column variables are renamed apart before substituting the
-/// atom's argument terms, so variable capture cannot occur (the fresh names live in
-/// the reserved `#` namespace, which [`Var::new`] refuses to user code).
-pub fn expand_relations<T: Theory>(
-    formula: &Formula<T::A>,
-    instance: &Instance<T>,
-    counter: &mut usize,
-) -> Result<Formula<T::A>, EvalError> {
-    Ok(match formula {
-        Formula::True => Formula::True,
-        Formula::False => Formula::False,
-        Formula::Atom(a) => Formula::Atom(a.clone()),
-        Formula::Rel { name, args } => {
-            let rel = instance
-                .get(name)
-                .ok_or_else(|| EvalError::UnknownRelation(name.to_string()))?;
-            if rel.arity() != args.len() {
-                return Err(EvalError::ArityMismatch {
-                    relation: name.to_string(),
-                    expected: rel.arity(),
-                    found: args.len(),
-                });
-            }
-            // Rename the relation's columns to fresh variables, then substitute the
-            // atom's arguments for them (one simultaneous pass per step).
-            let fresh: Vec<Var> = rel.vars().iter().map(|_| Var::fresh(counter)).collect();
-            let renamed = rel.rename(fresh.clone());
-            let subst: std::collections::HashMap<Var, crate::logic::Term> =
-                fresh.iter().cloned().zip(args.iter().cloned()).collect();
-            let dnf: Dnf<T::A> = renamed
-                .tuples()
-                .iter()
-                .map(|tuple| {
-                    tuple
-                        .atoms()
-                        .iter()
-                        .map(|a| a.subst_simultaneous(&subst))
-                        .collect()
-                })
-                .collect();
-            Formula::Or(
-                dnf.into_iter()
-                    .map(|conj| Formula::And(conj.into_iter().map(Formula::Atom).collect()))
-                    .collect(),
-            )
-        }
-        Formula::Not(g) => Formula::Not(Box::new(expand_relations(g, instance, counter)?)),
-        Formula::And(fs) => Formula::And(
-            fs.iter()
-                .map(|g| expand_relations(g, instance, counter))
-                .collect::<Result<_, _>>()?,
-        ),
-        Formula::Or(fs) => Formula::Or(
-            fs.iter()
-                .map(|g| expand_relations(g, instance, counter))
-                .collect::<Result<_, _>>()?,
-        ),
-        Formula::Exists(vs, g) => Formula::Exists(
-            vs.clone(),
-            Box::new(expand_relations(g, instance, counter)?),
-        ),
-        Formula::Forall(vs, g) => Formula::Forall(
-            vs.clone(),
-            Box::new(expand_relations(g, instance, counter)?),
-        ),
-    })
-}
-
-/// Evaluates a relation-free formula to an equivalent quantifier-free
-/// disjunction of cache-carrying generalized tuples via quantifier
-/// elimination.  Every tuple created here carries its canonical context, so
-/// the satisfiability pruning, the per-step simplification and the final
-/// relation construction share one closure per conjunction.
-fn eval_formula<T: Theory>(formula: &Formula<T::A>) -> Vec<GenTuple<T::A>> {
-    match formula {
-        Formula::True => vec![GenTuple::universal()],
-        Formula::False => Vec::new(),
-        Formula::Atom(a) => vec![GenTuple::new(vec![a.clone()])],
-        Formula::Rel { .. } => {
-            unreachable!("relation atoms must be expanded before evaluation")
-        }
-        Formula::Not(g) => {
-            let inner = eval_formula::<T>(g);
-            negate_tuples::<T>(&inner)
-        }
-        Formula::And(fs) => {
-            let mut acc: Vec<GenTuple<T::A>> = vec![GenTuple::universal()];
-            for g in fs {
-                let rhs = eval_formula::<T>(g);
-                let mut next: Vec<GenTuple<T::A>> = Vec::new();
-                for a in &acc {
-                    for b in &rhs {
-                        let mut atoms = a.atoms().to_vec();
-                        atoms.extend(b.atoms().iter().cloned());
-                        let candidate = GenTuple::new(atoms);
-                        if candidate.is_satisfiable::<T>() {
-                            next.push(candidate);
-                        }
-                    }
-                }
-                acc = simplify_tuples::<T>(next);
-                if acc.is_empty() {
-                    return Vec::new();
-                }
-            }
-            acc
-        }
-        Formula::Or(fs) => {
-            let mut acc: Vec<GenTuple<T::A>> = Vec::new();
-            for g in fs {
-                acc.extend(eval_formula::<T>(g));
-            }
-            simplify_tuples::<T>(acc)
-        }
-        Formula::Exists(vs, g) => {
-            let inner = eval_formula::<T>(g);
-            let mut out: Vec<GenTuple<T::A>> = Vec::new();
-            for tuple in &inner {
-                out.extend(eliminate_tuple::<T>(vs, tuple));
-            }
-            simplify_tuples::<T>(out)
-        }
-        Formula::Forall(vs, g) => {
-            // ∀x̅.φ  ≡  ¬∃x̅.¬φ
-            let inner = eval_formula::<T>(g);
-            let negated = negate_tuples::<T>(&inner);
-            let mut exists: Vec<GenTuple<T::A>> = Vec::new();
-            for tuple in &negated {
-                exists.extend(eliminate_tuple::<T>(vs, tuple));
-            }
-            let exists = simplify_tuples::<T>(exists);
-            negate_tuples::<T>(&exists)
-        }
-    }
-}
-
-/// Evaluates a query with the **expand-then-eliminate baseline**: relation
-/// atoms are textually inlined as DNF sub-formulas and the result is flattened
-/// by quantifier elimination, exactly as written in Section 4.1.
-///
-/// The algebraic evaluator ([`eval_query`]) computes the same relation; this
-/// path is retained as the semantics baseline and benchmark anchor.
-///
-/// # Errors
-/// Returns an error if the formula mentions undeclared relations or uses them with the
-/// wrong arity.
-pub fn eval_query_expand<T: Theory>(
-    formula: &Formula<T::A>,
-    free: &[Var],
-    instance: &Instance<T>,
-) -> Result<Relation<T>, EvalError> {
-    check_free_covered(formula, free)?;
-    let mut counter = 0usize;
-    let expanded = expand_relations(formula, instance, &mut counter)?;
-    let tuples = eval_formula::<T>(&expanded);
-    Ok(Relation::new(free.to_vec(), tuples))
-}
-
-/// Checks that the answer-variable list is duplicate-free and covers every
-/// free variable of the formula (the well-formedness conditions of Section
-/// 4.1's query definition).
-fn check_free_covered<A: Atom>(formula: &Formula<A>, free: &[Var]) -> Result<(), EvalError> {
-    if let Some(v) = duplicate_answer_var(free) {
-        return Err(EvalError::DuplicateAnswerVariable {
+/// The typed error for an ill-formed answer-variable list, if any: a
+/// repeated variable, or a free variable of the formula missing from the list
+/// (the well-formedness conditions of Section 4.1's query definition).
+fn answer_var_error<A: Atom>(formula: &Formula<A>, free: &[Var]) -> Option<EvalError> {
+    if let Some((_, v)) = free
+        .iter()
+        .enumerate()
+        .find(|(i, v)| free[..*i].contains(v))
+    {
+        return Some(EvalError::DuplicateAnswerVariable {
             variable: v.to_string(),
         });
     }
-    match formula.free_vars().into_iter().find(|v| !free.contains(v)) {
-        None => Ok(()),
-        Some(v) => Err(EvalError::FreeVariableNotListed {
+    formula
+        .free_vars()
+        .into_iter()
+        .find(|v| !free.contains(v))
+        .map(|v| EvalError::FreeVariableNotListed {
             variable: v.to_string(),
-        }),
-    }
-}
-
-/// The first variable repeated in an answer-variable list, if any.
-fn duplicate_answer_var(free: &[Var]) -> Option<&Var> {
-    free.iter()
-        .enumerate()
-        .find(|(i, v)| free[..*i].contains(v))
-        .map(|(_, v)| v)
-}
-
-/// Evaluates a Boolean query (sentence) with the expand-then-eliminate
-/// baseline; see [`eval_query_expand`].
-///
-/// # Errors
-/// As for [`eval_query_expand`].
-pub fn eval_sentence_expand<T: Theory>(
-    formula: &Formula<T::A>,
-    instance: &Instance<T>,
-) -> Result<bool, EvalError> {
-    let answer = eval_query_expand(formula, &[], instance)?;
-    Ok(!answer.is_empty())
+        })
 }
 
 // ---------------------------------------------------------------------------
@@ -546,66 +360,14 @@ impl<T: Theory> fmt::Display for Plan<T> {
         match &self.0.node {
             PlanNode::Empty => write!(f, "⊥"),
             PlanNode::Universal => write!(f, "⊤"),
-            PlanNode::Select(atoms) => {
-                write!(f, "σ[")?;
-                for (i, a) in atoms.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, " ∧ ")?;
-                    }
-                    write!(f, "{a}")?;
-                }
-                write!(f, "]")
-            }
-            PlanNode::Rename { name, to } => {
-                write!(f, "{name}(")?;
-                for (i, v) in to.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{v}")?;
-                }
-                write!(f, ")")
-            }
-            PlanNode::Scan { name, args } => {
-                write!(f, "scan {name}(")?;
-                for (i, t) in args.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{t}")?;
-                }
-                write!(f, ")")
-            }
-            PlanNode::Join(children) => {
-                write!(f, "(")?;
-                for (i, c) in children.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, " ⋈ ")?;
-                    }
-                    write!(f, "{c}")?;
-                }
-                write!(f, ")")
-            }
-            PlanNode::Union(children) => {
-                write!(f, "(")?;
-                for (i, c) in children.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, " ∪ ")?;
-                    }
-                    write!(f, "{c}")?;
-                }
-                write!(f, ")")
-            }
+            PlanNode::Select(atoms) => write!(f, "σ[{}]", Sep(atoms, " ∧ ")),
+            PlanNode::Rename { name, to } => write!(f, "{name}({})", Sep(to, ", ")),
+            PlanNode::Scan { name, args } => write!(f, "scan {name}({})", Sep(args, ", ")),
+            PlanNode::Join(children) => write!(f, "({})", Sep(children, " ⋈ ")),
+            PlanNode::Union(children) => write!(f, "({})", Sep(children, " ∪ ")),
             PlanNode::Complement(p) => write!(f, "¬{p}"),
             PlanNode::Project { input, eliminate } => {
-                write!(f, "π-{{")?;
-                for (i, v) in eliminate.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ",")?;
-                    }
-                    write!(f, "{v}")?;
-                }
-                write!(f, "}}{input}")
+                write!(f, "π-{{{}}}{input}", Sep(eliminate, ","))
             }
         }
     }
@@ -900,17 +662,13 @@ pub struct CompiledQuery<T: Theory> {
     /// evaluator thread count).
     config: PlanConfig,
     /// Relation atoms of the source formula in traversal order, for upfront
-    /// schema validation (matching the error behavior of the expand baseline,
-    /// which validates every atom before evaluating anything).
+    /// schema validation: every atom is checked before anything evaluates.
     rels: Vec<(RelName, usize)>,
-    /// Free variables of the source formula missing from `free` — recorded at
-    /// compile time, reported as a typed error on evaluation (a query whose
-    /// answer variables do not cover the formula is ill-formed, and evaluating
-    /// it would build relations whose tuples mention non-column variables).
-    uncovered: Vec<Var>,
-    /// A variable repeated in `free`, recorded at compile time and reported
-    /// as a typed error on evaluation (answer columns must be distinct).
-    dup_free: Option<Var>,
+    /// The answer-variable error ([`answer_var_error`]) — recorded at compile
+    /// time, reported on evaluation (a query whose answer variables repeat or
+    /// miss a free variable is ill-formed, and evaluating it would build
+    /// relations whose tuples mention non-column variables).
+    ill_formed: Option<EvalError>,
 }
 
 impl<T: Theory> Clone for CompiledQuery<T> {
@@ -920,8 +678,7 @@ impl<T: Theory> Clone for CompiledQuery<T> {
             free: self.free.clone(),
             config: self.config,
             rels: self.rels.clone(),
-            uncovered: self.uncovered.clone(),
-            dup_free: self.dup_free.clone(),
+            ill_formed: self.ill_formed.clone(),
         }
     }
 }
@@ -981,18 +738,12 @@ pub fn compile_query_with<T: Theory>(
     };
     let mut rels = Vec::new();
     collect_rel_atoms(formula, &mut rels);
-    let uncovered = formula
-        .free_vars()
-        .into_iter()
-        .filter(|v| !free.contains(v))
-        .collect();
     CompiledQuery {
         plan,
         free: free.to_vec(),
         config: *config,
         rels,
-        uncovered,
-        dup_free: duplicate_answer_var(free).cloned(),
+        ill_formed: answer_var_error(formula, free),
     }
 }
 
@@ -1130,27 +881,20 @@ impl<T: Theory> CompiledQuery<T> {
         reports: &mut HashMap<usize, JoinReport>,
         probe: &mut TraceProbe,
     ) -> Result<Relation<T>, EvalError> {
-        if let Some(v) = &self.dup_free {
-            return Err(EvalError::DuplicateAnswerVariable {
-                variable: v.to_string(),
-            });
+        if let Some(e) = &self.ill_formed {
+            return Err(e.clone());
         }
-        if let Some(v) = self.uncovered.first() {
-            return Err(EvalError::FreeVariableNotListed {
-                variable: v.to_string(),
-            });
-        }
-        // Validate every relation atom upfront (compile-time simplification
-        // may have pruned some from the plan; the source formula's errors must
-        // surface regardless, as they do in the expand baseline).
+        // Validate every relation atom upfront: compile-time simplification
+        // may have pruned some from the plan, and the source formula's schema
+        // errors must surface regardless of what the plan reads.  `fetch`
+        // hands out the stored relation shared, so this copies nothing.
         for (name, arity) in &self.rels {
             fetch(instance, name, *arity)?;
         }
         let answer = eval_plan(&self.plan, instance, memo, reports, self.config, probe)?.merged();
-        // Deferred absorption means the factorized evaluator can discover
-        // the final tuples in a different order than the eager one; the plan
-        // boundary sorts canonically so answers are bit-identical across
-        // factorization modes and thread counts.
+        // Deferred absorption means the tuple order depends on how the parts
+        // were split; the plan boundary sorts canonically so answers are
+        // bit-identical at any thread count.
         let answer = answer.canonically_sorted();
         // The plan result is already canonical (every operator finishes in
         // `Relation::new`); when the requested free list covers its columns,
@@ -1182,7 +926,7 @@ pub(crate) const MAX_PARTS: usize = 16;
 /// pin-hash / index-sweep strategies), projection eliminates per part, and
 /// complement intersects per-part complements.  Materialization to the exact
 /// canonical DNF ([`Factored::merged`]) happens only at plan boundaries, so
-/// answers stay bit-identical to the eager evaluator at any thread count.
+/// answers are canonical and bit-identical at any thread count.
 pub(crate) struct Factored<T: Theory> {
     /// The node's column list; every part is normalized onto it.
     cols: Vec<Var>,
@@ -1234,17 +978,27 @@ impl<T: Theory> Factored<T> {
     /// canonical and is returned as-is (its column indexes survive); several
     /// parts are concatenated and run through the deferred simplification
     /// pass (cross-part dedup + absorption).
-    fn merged(&self) -> Relation<T> {
+    fn merged(mut self) -> Relation<T> {
         match self.parts.len() {
-            0 => Relation::empty(self.cols.clone()),
-            1 => self.parts[0].clone(),
+            0 => Relation::empty(self.cols),
+            1 => self.parts.pop().expect("one part"),
             _ => Relation::simplified_unchecked(
-                self.cols.clone(),
+                self.cols,
                 self.parts
                     .iter()
                     .flat_map(|p| p.tuples().iter().cloned())
                     .collect(),
             ),
+        }
+    }
+
+    /// The value itself while it holds at most [`MAX_PARTS`] parts, else
+    /// merged into one.
+    fn capped(self) -> Factored<T> {
+        if self.parts.len() <= MAX_PARTS {
+            self
+        } else {
+            Factored::single(self.merged())
         }
     }
 
@@ -1268,17 +1022,8 @@ impl<T: Theory> Factored<T> {
 /// Merges a non-empty uniform-column part list into one canonical relation
 /// (the join fold's cap fallback).
 fn merge_parts<T: Theory>(parts: Vec<Relation<T>>) -> Relation<T> {
-    if parts.len() == 1 {
-        return parts.into_iter().next().expect("len checked");
-    }
-    let vars = parts[0].vars().to_vec();
-    Relation::simplified_unchecked(
-        vars,
-        parts
-            .iter()
-            .flat_map(|p| p.tuples().iter().cloned())
-            .collect(),
-    )
+    let cols = parts[0].vars().to_vec();
+    Factored { cols, parts }.merged()
 }
 
 // ---------------------------------------------------------------------------
@@ -1347,8 +1092,7 @@ fn eval_plan<T: Theory>(
         PlanNode::Union(children) => {
             // The factorized union: concatenate the children's parts and
             // defer cross-part dedup/absorption to the plan boundary (or the
-            // cap).  Eager mode merges here, which is exactly the historical
-            // behavior.
+            // cap).
             let mut parts: Vec<Relation<T>> = Vec::new();
             for child in children {
                 let f = eval_plan(child, instance, memo, reports, config, probe)?;
@@ -1363,18 +1107,12 @@ fn eval_plan<T: Theory>(
                     });
                 }
             }
-            let f = Factored { cols, parts };
-            if config.factorize && f.parts.len() <= MAX_PARTS {
-                f
-            } else {
-                Factored::single(f.merged())
-            }
+            Factored { cols, parts }.capped()
         }
         PlanNode::Complement(input) => {
             let f = eval_plan(input, instance, memo, reports, config, probe)?;
             if f.parts.is_empty() {
-                // Complement of the empty relation — the universal negation
-                // path of the eager evaluator.
+                // Complement of the empty relation: the universal relation.
                 Factored::single(Relation::simplified_unchecked(
                     cols,
                     negate_tuples::<T>(&[]),
@@ -1382,8 +1120,7 @@ fn eval_plan<T: Theory>(
             } else {
                 // ¬(P₁ ∨ … ∨ Pₖ) = ¬P₁ ⋈ … ⋈ ¬Pₖ: complement each part and
                 // intersect, so a factorized union is negated without ever
-                // materializing it.  For a single part this is exactly the
-                // eager path.
+                // materializing it.
                 let mut acc: Option<Relation<T>> = None;
                 for part in &f.parts {
                     let neg = Relation::simplified_unchecked(
@@ -1440,12 +1177,7 @@ fn eval_plan<T: Theory>(
                     }
                 })
                 .collect();
-            let f = Factored { cols, parts };
-            if config.factorize && f.parts.len() <= MAX_PARTS {
-                f
-            } else {
-                Factored::single(f.merged())
-            }
+            Factored { cols, parts }.capped()
         }
     };
     probe.end(key, span);
@@ -1490,8 +1222,7 @@ fn eval_join_fold<T: Theory>(
             Some(prev) => {
                 if next.is_empty() {
                     // Joining with an empty operand annihilates; still run
-                    // the (trivial) join so the strategy report matches the
-                    // eager evaluator's.
+                    // the (trivial) join so the node reports its strategy.
                     let idx = probe.index_base();
                     let (_, step) =
                         merge_parts(prev).join_with_report(&Relation::empty(child_cols), threads);
@@ -1570,13 +1301,15 @@ fn finish<T: Theory>(
     Ok(result)
 }
 
+/// The stored relation `name`, `Arc`-shared (no part-table copy), checked
+/// against the arity of the atom reading it.
 fn fetch<T: Theory>(
     instance: &Instance<T>,
     name: &RelName,
     arity: usize,
-) -> Result<Relation<T>, EvalError> {
+) -> Result<Arc<Relation<T>>, EvalError> {
     let rel = instance
-        .get(name)
+        .get_shared(name)
         .ok_or_else(|| EvalError::UnknownRelation(name.to_string()))?;
     if rel.arity() != arity {
         return Err(EvalError::ArityMismatch {
@@ -1628,6 +1361,7 @@ pub fn eval_sentence<T: Theory>(
 
 #[cfg(test)]
 mod tests {
+    use super::oracle::{check_answer, PointOracle};
     use super::*;
     use crate::dense::{DenseAtom, DenseOrder};
     use crate::logic::Term;
@@ -1640,9 +1374,10 @@ mod tests {
     #[test]
     fn uncovered_free_variables_are_a_typed_error_in_both_evaluators() {
         // Regression: `{x | R(x, y)}` has the free variable y outside the
-        // answer list; both evaluators used to build a relation whose tuples
+        // answer list; the evaluator used to build a relation whose tuples
         // mention a non-column variable, which panicked later inside
-        // membership substitution.  They must now report a typed error.
+        // membership substitution.  It and the point oracle must report the
+        // same typed error.
         let schema = Schema::from_pairs([("R", 2)]);
         let mut inst: Instance<DenseOrder> = Instance::new(schema);
         inst.set(
@@ -1659,11 +1394,11 @@ mod tests {
             variable: "y".into(),
         };
         assert_eq!(eval_query(&q, &free, &inst).unwrap_err(), expected);
-        assert_eq!(eval_query_expand(&q, &free, &inst).unwrap_err(), expected);
+        assert_eq!(PointOracle::new(&q, &free, &inst).err(), Some(expected));
         // A superset of the free variables stays fine (universal in extras).
         let wide = [Var::new("x"), Var::new("y"), Var::new("z")];
         assert!(eval_query(&q, &wide, &inst).is_ok());
-        assert!(eval_query_expand(&q, &wide, &inst).is_ok());
+        assert!(PointOracle::new(&q, &wide, &inst).is_ok());
     }
 
     fn r(v: i64) -> Rat {
@@ -1696,15 +1431,22 @@ mod tests {
         inst
     }
 
-    /// Both evaluators on the same query must produce equivalent relations.
+    /// The evaluator's answer, which must agree with the point oracle at
+    /// every order-type representative.
     fn both(q: &F, free: &[Var], inst: &Instance<DenseOrder>) -> Relation<DenseOrder> {
-        let algebraic = eval_query(q, free, inst).unwrap();
-        let expand = eval_query_expand(q, free, inst).unwrap();
-        assert!(
-            algebraic.equivalent(&expand),
-            "evaluators disagree on {q}: algebraic {algebraic} vs expand {expand}"
-        );
-        algebraic
+        let answer = eval_query(q, free, inst).unwrap();
+        let check = check_answer(q, free, inst, std::slice::from_ref(&answer)).unwrap();
+        assert!(check.exhaustive);
+        assert_eq!(check.counterexample, None, "{q}: answer {answer}");
+        answer
+    }
+
+    /// The sentence's truth, which must agree with the point oracle's.
+    fn sentence(q: &F, inst: &Instance<DenseOrder>) -> bool {
+        let truth = eval_sentence(q, inst).unwrap();
+        let oracle = PointOracle::new(q, &[], inst).unwrap().truth(&[]);
+        assert_eq!(oracle, Some(truth), "{q}");
+        truth
     }
 
     #[test]
@@ -1759,10 +1501,8 @@ mod tests {
             Formula::rel("R", [Term::var("x")])
                 .implies(Formula::Atom(DenseAtom::le(Term::var("x"), Term::cst(10)))),
         );
-        assert!(eval_sentence(&holds, &inst).unwrap());
-        assert!(!eval_sentence(&fails, &inst).unwrap());
-        assert!(eval_sentence_expand(&holds, &inst).unwrap());
-        assert!(!eval_sentence_expand(&fails, &inst).unwrap());
+        assert!(sentence(&holds, &inst));
+        assert!(!sentence(&fails, &inst));
     }
 
     #[test]
@@ -1792,7 +1532,7 @@ mod tests {
                     .and(Formula::Atom(DenseAtom::lt(Term::var("z"), Term::var("y")))),
             )),
         );
-        assert!(eval_sentence::<DenseOrder>(&q, &inst).unwrap());
+        assert!(sentence(&q, &inst));
         // No endpoints: ∃x ∀y. x ≤ y  is false.
         let q2: F = Formula::exists(
             ["x"],
@@ -1801,7 +1541,7 @@ mod tests {
                 Formula::Atom(DenseAtom::le(Term::var("x"), Term::var("y"))),
             ),
         );
-        assert!(!eval_sentence::<DenseOrder>(&q2, &inst).unwrap());
+        assert!(!sentence(&q2, &inst));
     }
 
     #[test]
@@ -1810,10 +1550,8 @@ mod tests {
         let inst = interval_instance();
         let q_true: F = Formula::rel("R", [Term::cst(25)]);
         let q_false: F = Formula::rel("R", [Term::cst(15)]);
-        assert!(eval_sentence(&q_true, &inst).unwrap());
-        assert!(!eval_sentence(&q_false, &inst).unwrap());
-        assert!(eval_sentence_expand(&q_true, &inst).unwrap());
-        assert!(!eval_sentence_expand(&q_false, &inst).unwrap());
+        assert!(sentence(&q_true, &inst));
+        assert!(!sentence(&q_false, &inst));
     }
 
     #[test]
@@ -1845,7 +1583,7 @@ mod tests {
             Err(EvalError::UnknownRelation(_))
         ));
         assert!(matches!(
-            eval_query_expand(&pruned, &[Var::new("x")], &inst),
+            PointOracle::new(&pruned, &[Var::new("x")], &inst),
             Err(EvalError::UnknownRelation(_))
         ));
     }
@@ -1878,11 +1616,11 @@ mod tests {
             compile_query::<DenseOrder>(&tree, &[Var::new("x")])
         };
         assert!(compiled.plan().node_count() <= duplicated.plan().node_count());
-        // And the evaluation agrees with the baseline.
+        // And the evaluation agrees with the point oracle.
         let inst = interval_instance();
         let a = compiled.eval(&inst).unwrap();
-        let b = eval_query_expand(&q, &[Var::new("x")], &inst).unwrap();
-        assert!(a.equivalent(&b));
+        let check = check_answer(&q, &[Var::new("x")], &inst, &[a]).unwrap();
+        assert_eq!(check.counterexample, None);
     }
 
     #[test]
@@ -1909,9 +1647,8 @@ mod tests {
     #[should_panic(expected = "reserved")]
     fn queries_over_the_fresh_namespace_are_rejected() {
         // Capture regression: a query whose variable is literally named `#0`
-        // would shadow the first fresh variable minted by relation expansion.
-        // Constructing it now fails loudly at the variable, before any
-        // expansion can capture.
+        // would shadow the first fresh variable `Var::fresh` mints.
+        // Constructing it fails loudly at the variable.
         let q: F = Formula::exists(
             ["#0"],
             Formula::rel("R", [Term::var("#0")])
@@ -1922,8 +1659,8 @@ mod tests {
 
     #[test]
     fn near_miss_fresh_names_do_not_confuse_expansion() {
-        // Legal names resembling the fresh pattern ("f0", "x0") expand and
-        // evaluate correctly on both paths.
+        // Legal names resembling the fresh pattern ("f0", "x0") evaluate
+        // correctly.
         let schema = Schema::from_pairs([("S", 2)]);
         let mut inst: Instance<DenseOrder> = Instance::new(schema);
         inst.set(

@@ -40,6 +40,7 @@
 use super::optimize::{estimate_plan, Est};
 use super::stats::Statistics;
 use super::{Factored, Plan, PlanNode};
+use crate::logic::Sep;
 use crate::relation::{column_index_counters, JoinReport};
 use crate::theory::Theory;
 use std::collections::HashMap;
@@ -300,22 +301,17 @@ impl<T: Theory> Builder<'_, T> {
 /// The operator label of a node: leaves print themselves, inner nodes print a
 /// short operator name (their full sub-tree follows as children).
 fn node_label<T: Theory>(plan: &Plan<T>) -> String {
+    let cols = Sep(plan.cols(), ", ");
     match &plan.0.node {
         PlanNode::Empty | PlanNode::Universal | PlanNode::Select(_) => plan.to_string(),
         PlanNode::Rename { .. } | PlanNode::Scan { .. } => plan.to_string(),
-        PlanNode::Join(_) => format!("⋈ join → ({})", cols_of(plan)),
-        PlanNode::Union(_) => format!("∪ union → ({})", cols_of(plan)),
-        PlanNode::Complement(_) => format!("¬ complement → ({})", cols_of(plan)),
+        PlanNode::Join(_) => format!("⋈ join → ({cols})"),
+        PlanNode::Union(_) => format!("∪ union → ({cols})"),
+        PlanNode::Complement(_) => format!("¬ complement → ({cols})"),
         PlanNode::Project { eliminate, .. } => {
-            let vars: Vec<String> = eliminate.iter().map(ToString::to_string).collect();
-            format!("π-{{{}}} project → ({})", vars.join(","), cols_of(plan))
+            format!("π-{{{}}} project → ({cols})", Sep(eliminate, ","))
         }
     }
-}
-
-fn cols_of<T: Theory>(plan: &Plan<T>) -> String {
-    let cols: Vec<String> = plan.cols().iter().map(ToString::to_string).collect();
-    cols.join(", ")
 }
 
 /// Formats an estimate: integers plainly, fractional values with one decimal.

@@ -27,9 +27,9 @@ impl Var {
     /// # Panics
     /// Panics if the name starts with `#`: that namespace is reserved for the
     /// internally generated fresh variables of [`Var::fresh`].  Accepting such
-    /// names would let a user variable shadow a fresh one, and the relation
-    /// expansion of the FO evaluator could then capture it silently — the
-    /// reservation turns that latent capture into an immediate, loud error.
+    /// names would let a user variable shadow a fresh one, so that a renaming
+    /// through fresh variables could capture it silently — the reservation
+    /// turns that latent capture into an immediate, loud error.
     #[must_use]
     pub fn new(name: impl AsRef<str>) -> Self {
         let name = name.as_ref();
@@ -425,64 +425,30 @@ impl<A: fmt::Display> fmt::Display for Formula<A> {
             Formula::True => write!(f, "true"),
             Formula::False => write!(f, "false"),
             Formula::Atom(a) => write!(f, "{a}"),
-            Formula::Rel { name, args } => {
-                write!(f, "{name}(")?;
-                for (i, t) in args.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{t}")?;
-                }
-                write!(f, ")")
-            }
+            Formula::Rel { name, args } => write!(f, "{name}({})", Sep(args, ", ")),
             Formula::Not(g) => write!(f, "¬({g})"),
-            Formula::And(fs) => {
-                if fs.is_empty() {
-                    return write!(f, "true");
-                }
-                write!(f, "(")?;
-                for (i, g) in fs.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, " ∧ ")?;
-                    }
-                    write!(f, "{g}")?;
-                }
-                write!(f, ")")
-            }
-            Formula::Or(fs) => {
-                if fs.is_empty() {
-                    return write!(f, "false");
-                }
-                write!(f, "(")?;
-                for (i, g) in fs.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, " ∨ ")?;
-                    }
-                    write!(f, "{g}")?;
-                }
-                write!(f, ")")
-            }
-            Formula::Exists(vs, g) => {
-                write!(f, "∃")?;
-                for (i, v) in vs.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ",")?;
-                    }
-                    write!(f, "{v}")?;
-                }
-                write!(f, ".({g})")
-            }
-            Formula::Forall(vs, g) => {
-                write!(f, "∀")?;
-                for (i, v) in vs.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ",")?;
-                    }
-                    write!(f, "{v}")?;
-                }
-                write!(f, ".({g})")
-            }
+            Formula::And(fs) if fs.is_empty() => write!(f, "true"),
+            Formula::And(fs) => write!(f, "({})", Sep(fs, " ∧ ")),
+            Formula::Or(fs) if fs.is_empty() => write!(f, "false"),
+            Formula::Or(fs) => write!(f, "({})", Sep(fs, " ∨ ")),
+            Formula::Exists(vs, g) => write!(f, "∃{}.({g})", Sep(vs, ",")),
+            Formula::Forall(vs, g) => write!(f, "∀{}.({g})", Sep(vs, ",")),
         }
+    }
+}
+
+/// Displays a slice's items separated by a string, without allocating.
+pub(crate) struct Sep<'a, I>(pub &'a [I], pub &'a str);
+
+impl<I: fmt::Display> fmt::Display for Sep<'_, I> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, item) in self.0.iter().enumerate() {
+            if i > 0 {
+                f.write_str(self.1)?;
+            }
+            write!(f, "{item}")?;
+        }
+        Ok(())
     }
 }
 

@@ -11,10 +11,10 @@
 //! **complement** (unlike finite relations), and membership of a point is decidable by
 //! direct formula evaluation (Proposition 2.4).
 
-use crate::logic::{Formula, Term, Var};
+use crate::logic::{Formula, Sep, Term, Var};
 use crate::metrics::JoinStrategyCounts;
 use crate::schema::{RelName, Schema, SchemaError};
-use crate::theory::{eval_conj, Atom, Conj, Dnf, Theory};
+use crate::theory::{eval_conj, Atom, Dnf, Theory};
 use frdb_num::Rat;
 use std::any::Any;
 use std::cell::Cell;
@@ -204,13 +204,7 @@ impl<A: Atom> fmt::Display for GenTuple<A> {
         if self.atoms.is_empty() {
             return write!(f, "true");
         }
-        for (i, a) in self.atoms.iter().enumerate() {
-            if i > 0 {
-                write!(f, " ∧ ")?;
-            }
-            write!(f, "{a}")?;
-        }
-        Ok(())
+        write!(f, "{}", Sep(&self.atoms, " ∧ "))
     }
 }
 
@@ -313,16 +307,6 @@ where
         }
     }
     acc
-}
-
-/// Negates a bare DNF (compatibility wrapper over [`negate_tuples`]).
-#[must_use]
-pub fn negate_dnf<T: Theory>(dnf: &[Conj<T::A>]) -> Dnf<T::A> {
-    let tuples: Vec<GenTuple<T::A>> = dnf.iter().map(|c| GenTuple::new(c.clone())).collect();
-    negate_tuples::<T>(&tuples)
-        .into_iter()
-        .map(GenTuple::into_atoms)
-        .collect()
 }
 
 /// Eliminates a list of variables from a generalized tuple by repeated
@@ -1859,21 +1843,6 @@ impl<T: Theory> Relation<T> {
         }
     }
 
-    /// The generalized-tuple delta of this relation against an earlier value
-    /// over the same columns: `(added, removed)` where `added = self \ earlier`
-    /// and `removed = earlier \ self`.  Both sides are DNF differences under
-    /// the theory's entailment, so tuples of the update that were already
-    /// absorbed (or were unsatisfiable to begin with) contribute nothing —
-    /// the delta an incremental view-maintenance plan consumes is exactly the
-    /// semantic change.
-    ///
-    /// # Panics
-    /// Panics if the column variables differ.
-    #[must_use]
-    pub fn delta_from(&self, earlier: &Relation<T>) -> (Relation<T>, Relation<T>) {
-        (self.difference(earlier), earlier.difference(self))
-    }
-
     /// Containment `self ⊆ other` (both over the same columns), decided by checking
     /// that `self ∧ ¬other` is unsatisfiable, one generalized tuple at a time.
     ///
@@ -2053,32 +2022,16 @@ impl<T: Theory> Relation<T> {
 
 impl<T: Theory> fmt::Display for Relation<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{{(")?;
-        for (i, v) in self.vars.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{v}")?;
-        }
-        write!(f, ") | ")?;
+        write!(f, "{{({}) | ", Sep(&self.vars, ", "))?;
         if self.tuples.is_empty() {
             write!(f, "false")?;
         }
         for (i, tuple) in self.tuples.iter().enumerate() {
-            if i > 0 {
-                write!(f, " ∨ ")?;
-            }
+            let sep = if i > 0 { " ∨ " } else { "" };
             if tuple.atoms().is_empty() {
-                write!(f, "true")?;
+                write!(f, "{sep}true")?;
             } else {
-                write!(f, "(")?;
-                for (j, a) in tuple.atoms().iter().enumerate() {
-                    if j > 0 {
-                        write!(f, " ∧ ")?;
-                    }
-                    write!(f, "{a}")?;
-                }
-                write!(f, ")")?;
+                write!(f, "{sep}({tuple})")?;
             }
         }
         write!(f, "}}")

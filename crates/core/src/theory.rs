@@ -50,6 +50,20 @@ pub trait Atom: Clone + Eq + Hash + Debug + Display + Send + Sync + 'static {
 
     /// Applies a mapping to every constant of the atom (Definition 4.3).
     fn map_constants(&self, f: &impl Fn(&Rat) -> Rat) -> Self;
+
+    /// Whether the atom is an order comparison between terms, so that its
+    /// truth is invariant under every automorphism of `(Q, ≤)` fixing its
+    /// constants.  Over such atoms the point oracle ([`crate::fo::oracle`])
+    /// is exact (genericity, Prop. 4.10); otherwise it is one-sided.
+    const ORDER_GENERIC: bool = false;
+
+    /// The values of `var` at which the atom's truth can change once every
+    /// other variable is fixed by `assignment` (`None` = unassigned, which
+    /// leaves the atom without boundary points).  The point oracle adds them
+    /// to its quantifier candidates; extra points never make it unsound.
+    fn boundary_points(&self, _var: &Var, _assignment: &dyn Fn(&Var) -> Option<Rat>) -> Vec<Rat> {
+        Vec::new()
+    }
 }
 
 /// A conjunction of atoms: the paper's *generalized tuple* (Section 2.2).
@@ -197,18 +211,6 @@ pub trait Theory: Sized + 'static {
     fn implies(premise: &[Self::A], conclusion: &[Self::A]) -> bool {
         Self::ctx_entails(&Self::context(premise), conclusion)
     }
-}
-
-/// Eliminates a list of variables from a conjunction by repeated single-variable
-/// elimination, producing a DNF (a thin wrapper over
-/// [`crate::relation::eliminate_tuple`], which carries the context cache).
-#[must_use]
-pub fn eliminate_all<T: Theory>(vars: &[Var], conj: &[T::A]) -> Dnf<T::A> {
-    let tuple = crate::relation::GenTuple::new(conj.to_vec());
-    crate::relation::eliminate_tuple::<T>(vars, &tuple)
-        .into_iter()
-        .map(crate::relation::GenTuple::into_atoms)
-        .collect()
 }
 
 /// Evaluates a conjunction of atoms under a total assignment.

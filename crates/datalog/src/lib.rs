@@ -1155,6 +1155,61 @@ mod tests {
         assert!(result.iterations >= 3);
     }
 
+    /// Asserts that `head` satisfies its rule equation under the point
+    /// oracle at every order-type representative of its arity: closure (a
+    /// true rule body puts the point in `head`) and support (a point of
+    /// `head` makes some rule body true).
+    fn assert_rule_equation_holds(
+        program: &Program<DenseAtom>,
+        inst: &Instance<DenseOrder>,
+        head: &str,
+    ) {
+        use frdb_core::fo::oracle::check_answer;
+        let head = RelName::new(head);
+        let rules: Vec<&Rule<DenseAtom>> =
+            program.rules().iter().filter(|r| r.head == head).collect();
+        let free = rules[0].head_vars.clone();
+        assert!(rules.iter().all(|r| r.head_vars == free));
+        let bodies = Formula::Or(rules.iter().map(|r| r.body_formula()).collect());
+        let stored = [inst.get(&head).unwrap()];
+        let check = check_answer(&bodies, &free, inst, &stored).unwrap();
+        assert!(check.exhaustive && check.decided > 0);
+        if let Some((_, point)) = check.counterexample {
+            let law = if stored[0].contains(&point) {
+                "support"
+            } else {
+                "closure"
+            };
+            panic!("{head} violates {law} at {point:?}");
+        }
+    }
+
+    #[test]
+    fn fixpoint_outputs_satisfy_their_rule_equation_pointwise() {
+        let program = transitive_closure_program("edge", "tc");
+        let result = program.run(&path_graph(5)).unwrap();
+        assert_rule_equation_holds(&program, &result.instance, "tc");
+        // A staircase of 4 interval edges: x ∈ [i, i+2], y ∈ [i+1, i+3].
+        let tuples = (0..4i64)
+            .map(|i| {
+                GenTuple::new(vec![
+                    DenseAtom::le(Term::cst(i), Term::var("x")),
+                    DenseAtom::le(Term::var("x"), Term::cst(i + 2)),
+                    DenseAtom::le(Term::cst(i + 1), Term::var("y")),
+                    DenseAtom::le(Term::var("y"), Term::cst(i + 3)),
+                ])
+            })
+            .collect();
+        let mut inst: Instance<DenseOrder> = Instance::new(Schema::from_pairs([("edge", 2)]));
+        inst.set(
+            "edge",
+            Relation::new(vec![Var::new("x"), Var::new("y")], tuples),
+        )
+        .unwrap();
+        let result = program.run(&inst).unwrap();
+        assert_rule_equation_holds(&program, &result.instance, "tc");
+    }
+
     #[test]
     fn semi_naive_pins_iteration_count_on_path_closure() {
         // The linear tc rule extends paths by one edge per round: a path with n

@@ -443,9 +443,9 @@ pub enum MaintenanceMode {
     #[default]
     Incremental,
     /// Always recompute dependents from scratch.  Kept reachable as the
-    /// differential-testing oracle, the same way [`PlanConfig::eager`] keeps
-    /// the unfactorized evaluator reachable: both modes run the identical
-    /// refresh cascade and must publish *exactly* the same DNF.
+    /// differential-testing oracle for incremental maintenance: both modes
+    /// run the identical refresh cascade and must publish *exactly* the same
+    /// DNF.
     Recompute,
 }
 

@@ -10,12 +10,15 @@
 //! databases must hold *exactly* the same state: the same stored relations,
 //! rendered part-for-part (exact DNF equality, not mere semantic
 //! equivalence), and every materialized view must also match a fresh
-//! from-scratch evaluation of its defining query.  Both bundled theories are
+//! from-scratch evaluation of its defining query.  At the end of every
+//! dense-order sequence each materialized view is also checked against the
+//! point oracle on its defining query.  Both bundled theories are
 //! exercised, at every evaluator thread count in `FRDB_TEST_THREADS`
 //! (default `1,2,4`); `FRDB_IVM_CASES` scales the number of randomized
 //! sequences per configuration for seeded long runs.
 
 use frdb_core::dense::DenseOrder;
+use frdb_core::fo::oracle::check_answer;
 use frdb_core::fo::{PlanCache, PlanConfig};
 use frdb_db::{Database, DbConfig, DbErrorKind, MaintenanceMode};
 use frdb_lang::AtomSyntax;
@@ -103,6 +106,29 @@ where
             format!("{stored}"),
             format!("{fresh}"),
             "{context}: maintained view `{name}` drifted from a from-scratch evaluation"
+        );
+    }
+}
+
+/// Every materialized view checked against the point oracle on its defining
+/// query over the current instance.
+fn check_views_against_oracle(db: &Database<DenseOrder>, context: &str) {
+    let snapshot = db.snapshot();
+    for name in ["lin", "joint", "wide"] {
+        if !snapshot.is_materialized(name) {
+            continue;
+        }
+        let def = snapshot
+            .query(name)
+            .expect("materialized views have a query");
+        let stored = snapshot
+            .relation(name)
+            .expect("materialized views are stored");
+        let check = check_answer(def.formula(), def.free(), snapshot.instance(), &[stored])
+            .unwrap_or_else(|e| panic!("{context}: oracle rejects view `{name}`: {e}"));
+        assert_eq!(
+            check.counterexample, None,
+            "{context}: view `{name}` disagrees with the point oracle"
         );
     }
 }
@@ -211,8 +237,13 @@ fn random_stmt(rng: &mut StdRng, region: &dyn Fn(&mut StdRng) -> String) -> Stri
     }
 }
 
-fn run_sequences<T: AtomSyntax>(theory: &str, region: &dyn Fn(&mut StdRng) -> String)
-where
+/// Runs the randomized sequences; `at_end` inspects the incremental
+/// database after each one.
+fn run_sequences<T: AtomSyntax>(
+    theory: &str,
+    region: &dyn Fn(&mut StdRng) -> String,
+    at_end: &dyn Fn(&Database<T>, &str),
+) where
     T::A: fmt::Display,
 {
     for threads in thread_counts() {
@@ -230,18 +261,19 @@ where
                 let stmt = random_stmt(&mut rng, region);
                 step(&ivm, &oracle, &stmt, &format!("{context}, `{stmt}`"));
             }
+            at_end(&ivm, &context);
         }
     }
 }
 
 #[test]
 fn maintained_equals_recomputed_dense() {
-    run_sequences::<DenseOrder>("dense", &dense_literal);
+    run_sequences::<DenseOrder>("dense", &dense_literal, &check_views_against_oracle);
 }
 
 #[test]
 fn maintained_equals_recomputed_linear() {
-    run_sequences::<LinearOrder>("linear", &linear_literal);
+    run_sequences::<LinearOrder>("linear", &linear_literal, &|_, _| {});
 }
 
 /// A deterministic sequence pinning that incremental maintenance actually

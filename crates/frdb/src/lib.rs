@@ -66,10 +66,7 @@ pub use frdb_queries as queries;
 pub mod prelude {
     pub use frdb_core::dense::{CmpOp, DenseAtom, DenseOrder};
     pub use frdb_core::encode::{database_size, encode_instance, EncodeError};
-    pub use frdb_core::fo::{
-        compile_query, eval_query, eval_query_expand, eval_sentence, eval_sentence_expand,
-        CompiledQuery, EvalError,
-    };
+    pub use frdb_core::fo::{compile_query, eval_query, eval_sentence, CompiledQuery, EvalError};
     pub use frdb_core::generic::Automorphism;
     pub use frdb_core::logic::{Formula, Term, Var};
     pub use frdb_core::relation::{GenTuple, Instance, Relation};

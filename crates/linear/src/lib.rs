@@ -355,6 +355,22 @@ impl Atom for LinAtom {
         LinAtom { expr, op: self.op }
     }
 
+    fn boundary_points(&self, var: &Var, assignment: &dyn Fn(&Var) -> Option<Rat>) -> Vec<Rat> {
+        // a·var + Σ cᵢ·vᵢ + k ⋈ 0 changes truth only at var = -(Σ cᵢ·vᵢ + k) / a.
+        let a = self.expr.coeff(var);
+        if a.is_zero() {
+            return Vec::new();
+        }
+        let mut rest = self.expr.constant.clone();
+        for (v, c) in self.expr.coeffs.iter().filter(|(v, _)| *v != var) {
+            match assignment(v) {
+                Some(value) => rest += &(c * &value),
+                None => return Vec::new(),
+            }
+        }
+        vec![-(&rest / &a)]
+    }
+
     fn map_constants(&self, f: &impl Fn(&Rat) -> Rat) -> Self {
         // The purely syntactic operation of Definition 4.3 (replace every constant of
         // the formula); note that for FO(≤,+) the automorphism group is smaller than

@@ -2,17 +2,11 @@
 //! relational-algebra shapes they exercise) paired with small instances, as
 //! one reusable list.
 //!
-//! The catalog serves two purposes:
-//!
-//! * the **evaluator-equivalence property tests** run every entry through both
-//!   the relational-algebra evaluator and the expand-then-eliminate baseline
-//!   and require identical answer relations;
-//! * the **benchmark harness** uses the heavier entries (the multi-relation
-//!   joins and the Example 6.3 sweep body) as its evaluator-comparison
-//!   workloads.
-//!
-//! Entries are kept deliberately small — the expand baseline is exponential in
-//! exactly the shapes this catalog collects.
+//! The **evaluator-equivalence property tests** run every entry through each
+//! evaluation pipeline and check the answers against the point oracle
+//! (`frdb_core::fo::oracle`).  Entries are kept small: the oracle checks an
+//! answer at one point per order type of its arity, so entries of arity ≤ 3
+//! are checked exhaustively and the arity-4 sweep body is sampled.
 
 use crate::programs::sweep_body;
 use crate::reductions::{boolean_vector, majority_to_connectivity, parity_to_connectivity_3d};
@@ -108,8 +102,7 @@ pub fn two_hop_query() -> Formula<DenseAtom> {
 }
 
 /// The three-hop join `{(x, w) | ∃y ∃z. S(x,y) ∧ S(y,z) ∧ S(z,w)}` — the
-/// multi-relation-join shape whose eager flattening the expand baseline pays
-/// for quadratically per conjunction.
+/// multi-relation-join shape.
 #[must_use]
 pub fn three_hop_query() -> Formula<DenseAtom> {
     Formula::exists(
